@@ -35,10 +35,11 @@ verify:
 
 # The observability gate: instrumented dispatch must stay within the
 # overhead budget (percent; override with PERF_OVERHEAD_BUDGET), and the
-# recording path must be race-clean.
+# recording path must be race-clean. The wall-clock budgets are enforced
+# only with LULESH_PERF_GATES=1; a plain `go test` checks their mechanism.
 perfgate:
-	$(GO) test -run TestForEachBlockOverheadBudget -count=1 -v ./internal/perf/
-	$(GO) test -run TestDistTraceOverheadBudget -count=1 -v ./internal/dist/
+	LULESH_PERF_GATES=1 $(GO) test -run TestForEachBlockOverheadBudget -count=1 -v ./internal/perf/
+	LULESH_PERF_GATES=1 $(GO) test -run TestDistTraceOverheadBudget -count=1 -v ./internal/dist/
 	$(GO) test -race -count=1 ./internal/perf/ ./internal/trace/
 
 # The tracing gate: the span/clock/merge tests race-clean, a 4-rank wire
@@ -48,6 +49,7 @@ perfgate:
 tracegate:
 	$(GO) test -race -count=1 -run 'Trace|Clock|Fleet|Stall|Blob|WaitBucket' \
 		./internal/wire/ ./internal/comm/ ./internal/perf/ ./internal/dist/
+	LULESH_PERF_GATES=1 $(GO) test -run TestDistTraceOverheadBudget -count=1 -v ./internal/dist/
 	$(GO) build -o /tmp/lulesh-trace ./cmd/lulesh
 	/tmp/lulesh-trace -np 4 -s 8 -i 20 -q \
 		-trace /tmp/lulesh-trace.json -fleet-out /tmp/lulesh-fleet.json
@@ -100,6 +102,7 @@ OVERLAP_HEADROOM_CEILING ?= 70
 overlap:
 	$(GO) test -race -count=1 -run 'Overlap|TreeReduce|AttributeStep|ZeroExchange|Delay|AllReduceMinTree' \
 		./internal/dist/ ./internal/comm/ ./internal/domain/
+	LULESH_PERF_GATES=1 $(GO) test -run TestAsyncHidesLatency -count=1 -v ./internal/dist/
 	$(GO) run ./cmd/luleshverify -s 6 -i 12 -net
 	$(GO) run ./cmd/luleshverify -s 6 -i 12 -net -scenario piston
 	$(GO) run ./cmd/luleshverify -s 6 -i 12 -net -scenario multimat

@@ -117,10 +117,17 @@ func TestTracedRunBitwiseAndBuckets(t *testing.T) {
 	}
 }
 
+// perfGates reports whether the wall-clock budgets are enforced. They are
+// off in a plain `go test`, where a loaded machine makes them flip; the
+// perfgate, tracegate and overlap make targets and the matching CI lanes
+// set LULESH_PERF_GATES=1.
+func perfGates() bool { return os.Getenv("LULESH_PERF_GATES") == "1" }
+
 // TestDistTraceOverheadBudget gates the cross-rank tracing cost the same
 // way perf's TestForEachBlockOverheadBudget gates the profiler: paired
 // traced/untraced runs, interleaved order, min-of-trials. Override the
-// budget with DIST_TRACE_OVERHEAD_BUDGET (percent).
+// budget with DIST_TRACE_OVERHEAD_BUDGET (percent). Without
+// LULESH_PERF_GATES=1 it checks only that the traced run recorded spans.
 func TestDistTraceOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overhead gate is not meaningful under -short")
@@ -143,18 +150,36 @@ func TestDistTraceOverheadBudget(t *testing.T) {
 		Nx: 12, Ny: 12, NzPerRank: 12, Ranks: 2,
 		NumReg: 1, Balance: 1, Cost: 1, MaxIterations: 20,
 	}
+	var traced Result
 	run := func(trace bool) time.Duration {
 		c := cfg
 		c.Trace = trace
 		start := time.Now()
-		if _, err := Run(c); err != nil {
+		res, err := Run(c)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if trace {
+			traced = res
 		}
 		return time.Since(start)
 	}
 
 	run(false) // warmup: page in code and the allocator
 	run(true)
+	if traced.Fleet == nil {
+		t.Fatal("traced run returned no fleet snapshot")
+	}
+	for _, tr := range traced.Fleet.Traces {
+		if tr.Dead || len(tr.Steps) == 0 || len(tr.Sends) == 0 || len(tr.Recvs) == 0 {
+			t.Fatalf("rank %d recorded no spans: dead=%v steps=%d sends=%d recvs=%d",
+				tr.Rank, tr.Dead, len(tr.Steps), len(tr.Sends), len(tr.Recvs))
+		}
+	}
+	if !perfGates() {
+		t.Logf("budget not enforced; set LULESH_PERF_GATES=1 to gate it")
+		return
+	}
 
 	const trials = 7
 	offs := make([]time.Duration, 0, trials)

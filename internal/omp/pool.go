@@ -5,22 +5,38 @@
 //
 // It is the comparator runtime for the paper's OpenMP reference
 // implementation of LULESH: the cost model of that code — one static split
-// plus one barrier per parallel loop, ~30 parallel regions per iteration —
-// is exactly what this package reproduces. Like production OpenMP runtimes
-// (OMP_WAIT_POLICY), team threads spin briefly at the release and join
-// points before parking on a condition variable, so back-to-back loops do
-// not pay a futex round trip each. Per-thread productive-time counters
-// mirror the paper's manual instrumentation of each parallel region
-// (Figure 11).
+// plus one barrier per parallel loop — is exactly what this package
+// reproduces, and the paper's ratio is only meaningful if each of those
+// barriers costs what the hardware makes it cost and no more. So the pool
+// is built around the cache line:
 //
-// The dispatch/join path is tuned so the reference is a fair baseline for
-// the paper's comparison (Section V insists the OpenMP side be well-tuned):
-// the region descriptor is published through the generation counter with no
-// per-region heap allocation on the static-schedule fast paths, and the
-// join is a padded sense-reversing barrier — each thread reports completion
-// by writing the region generation into its own cache-line-private flag,
-// which the master sweeps, so finishing threads never contend on one
-// counter word.
+//   - Release. The master writes the region descriptor and the generation
+//     word `gen` that publishes it into one 64-byte release block, once per
+//     region. Workers poll `gen` with plain atomic loads for a fixed budget
+//     (pollBudget, or one load when the team outnumbers GOMAXPROCS), then
+//     yield with runtime.Gosched, and once they have waited spinWindow
+//     park on a condition variable — OMP_WAIT_POLICY's active wait, then
+//     passive wait. Back-to-back regions are picked up in the poll phase and never
+//     pay a scheduler round trip.
+//   - Join. Each thread owns one 64-byte slot holding its join flag and
+//     its busy-time counter. A finishing thread stores the region's
+//     generation into its flag (a sense-reversing barrier); the master
+//     polls the flags with the same budget-then-yield loop. The slot array
+//     carries a guard slot at each end, so no foreign object shares a line
+//     with a live slot.
+//   - Counters. The master's region wall time, region count, phase tag and
+//     release stamp sit on a line of their own; the hooks every worker loads
+//     (team size, slot array, clock epoch, observer, sink) sit on another
+//     that no region writes. Padding keeps each group at least 64 bytes from
+//     the next, whatever the allocator's alignment.
+//   - Clock. Every stamp is one monotonic clock read (time.Since on a fixed
+//     epoch). The master's release stamp doubles as its part start, and at
+//     one thread the part end is the region end.
+//
+// Per-thread productive-time counters mirror the paper's manual
+// instrumentation of each parallel region (Figure 11); the static-schedule
+// entry points publish their body through the descriptor with no per-region
+// heap allocation.
 package omp
 
 import (
@@ -31,10 +47,24 @@ import (
 	"time"
 )
 
-// spinRounds bounds the busy-wait at dispatch and join points before a
-// thread parks. Tuned to roughly the 10-100 microsecond active-wait window
-// of OpenMP runtimes.
-const spinRounds = 1 << 14
+// cacheLine is the coherence granule the Pool layout is padded to.
+const cacheLine = 64
+
+// pollBudget is the number of plain atomic loads a waiting thread spends
+// on a release word or join flag before it yields its processor: about a
+// microsecond, two to three cross-core cache-line handoffs, so a
+// back-to-back region or a slightly unbalanced join never reaches the
+// scheduler's run-queue lock. A team larger than GOMAXPROCS polls once per
+// yield instead (libgomp throttles its spin count the same way): the
+// thread being waited for may need the waiter's processor.
+const pollBudget = 1024
+
+// spinWindow bounds the poll-then-yield wait at the release point before
+// a worker parks — the millisecond-scale active-wait window of OpenMP
+// runtimes (KMP_BLOCKTIME is likewise a time). It is a time, not a round
+// count, so the window stays the same when a load costs more, as it does
+// under the race detector.
+const spinWindow = 4 * time.Millisecond
 
 // regionKind selects how a team thread derives its share of the current
 // region from the published descriptor.
@@ -47,11 +77,12 @@ const (
 	regionTID                     // blockTID(tid, lo, hi), run even for empty shares
 )
 
-// doneFlag is one thread's join flag, padded to its own cache line so the
-// sense-reversing barrier's completion stores never false-share.
-type doneFlag struct {
-	gen atomic.Int64
-	_   [56]byte
+// threadSlot is one thread's cache line: its join flag and its busy-time
+// counter, both written only by that thread.
+type threadSlot struct {
+	done atomic.Int64 // generation of the last region this thread finished
+	busy atomic.Int64 // nanoseconds inside region bodies
+	_    [cacheLine - 16]byte
 }
 
 // Pool is a persistent team of execution threads. Thread 0 is the calling
@@ -61,43 +92,47 @@ type doneFlag struct {
 // A Pool is not reentrant: regions must not be started from inside a region
 // (OpenMP without nested parallelism).
 type Pool struct {
-	n int
+	// Hooks: fixed at construction or changed by the setters, loaded by
+	// every thread each region, written by no region.
+	n        int
+	poll     int          // loads per yield: pollBudget, or 1 for an oversubscribed team
+	slots    []threadSlot // n+2 slots: thread tid owns slots[tid+1], the ends are guards
+	epoch    time.Time    // origin of every stamp (carries a monotonic reading)
+	observer atomic.Pointer[func(tid int, start time.Time, dur time.Duration)]
+	sink     atomic.Pointer[TaskSink]
+	_        [cacheLine]byte
 
-	// Region descriptor. The plain fields are written by the master before
-	// the gen bump and read by workers after observing the new generation;
-	// the atomic gen pair orders the accesses (release/acquire), so the
-	// descriptor needs no pointer indirection or allocation of its own.
+	// Release block: gen and the region descriptor it publishes, written by
+	// the master once per region. The plain fields are written before the
+	// gen bump and read by workers after observing the new generation; the
+	// atomic gen pair orders the accesses (release/acquire).
+	gen      atomic.Int64 // region generation; bumped per dispatch (the sense)
 	kind     regionKind
-	fn       func(tid int)
 	loopN    int
+	fn       func(tid int)
 	block    func(lo, hi int)
 	elem     func(i int)
 	blockTID func(tid, lo, hi int)
-	phase    uint32    // solver phase tag of this region (SetPhase)
-	released time.Time // region release time; stamped only while a sink is installed
+	rsink    *TaskSink // the sink this region reports to; nil when unprofiled
+	_        [cacheLine]byte
 
-	_    [56]byte     // keep the hot generation word off the descriptor line
-	gen  atomic.Int64 // region generation; bumped per dispatch (the sense)
-	done []doneFlag   // per-worker padded join flags; done[tid] == gen means finished
+	// Master line: written only by the master. phase and released are the
+	// profiled region's phase tag and release stamp, written only while a
+	// sink is installed; curPhase is the tag SetPhase publishes for the
+	// next region.
+	regionWall atomic.Int64 // summed wall time of all regions (ns)
+	regions    atomic.Int64 // number of regions executed
+	released   int64        // release stamp (ns since epoch)
+	phase      uint32
+	curPhase   atomic.Uint32
+	_          [cacheLine]byte
 
+	// Park state: touched by workers only when they park or wake.
 	mu       sync.Mutex
 	cond     *sync.Cond // workers park here between regions
 	sleepers atomic.Int32
 	closed   atomic.Bool
-
-	busy       []atomic.Int64 // per-thread nanoseconds inside region bodies
-	regionWall atomic.Int64   // summed wall time of all regions
-	regions    atomic.Int64   // number of regions executed
-
-	observer atomic.Pointer[func(tid int, start time.Time, dur time.Duration)]
-
-	// curPhase is the phase tag copied into the next region descriptor
-	// (SetPhase); sink receives one record per thread per region — the
-	// fork-join feed for the perf subsystem, mirroring amt.TaskSink.
-	curPhase atomic.Uint32
-	sink     atomic.Pointer[TaskSink]
-
-	wg sync.WaitGroup
+	wg       sync.WaitGroup
 }
 
 // TaskSink consumes per-thread region-part execution records. It is
@@ -143,10 +178,12 @@ func NewPool(n int) *Pool {
 	if n < 1 {
 		n = 1
 	}
-	p := &Pool{n: n}
+	p := &Pool{n: n, poll: pollBudget, epoch: time.Now()}
+	if n > runtime.GOMAXPROCS(0) {
+		p.poll = 1
+	}
 	p.cond = sync.NewCond(&p.mu)
-	p.busy = make([]atomic.Int64, n)
-	p.done = make([]doneFlag, n)
+	p.slots = make([]threadSlot, n+2)
 	p.wg.Add(n - 1)
 	for tid := 1; tid < n; tid++ {
 		go p.worker(tid)
@@ -166,10 +203,13 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// runPart executes thread tid's share of the published region and records
-// its productive time.
-func (p *Pool) runPart(tid int) {
-	start := time.Now()
+// now is one monotonic clock read, in nanoseconds since the pool's epoch.
+func (p *Pool) now() int64 { return int64(time.Since(p.epoch)) }
+
+// runPart executes thread tid's share of the published region, which it
+// began at stamp start, records its productive time, and returns the end
+// stamp.
+func (p *Pool) runPart(tid int, start int64) int64 {
 	switch p.kind {
 	case regionFn:
 		p.fn(tid)
@@ -187,55 +227,66 @@ func (p *Pool) runPart(tid int) {
 		lo, hi := StaticRange(tid, p.n, p.loopN)
 		p.blockTID(tid, lo, hi)
 	}
-	dur := time.Since(start)
-	p.busy[tid].Add(int64(dur))
+	end := p.now()
+	dur := end - start
+	p.slots[tid+1].busy.Add(dur)
 	if obs := p.observer.Load(); obs != nil {
-		(*obs)(tid, start, dur)
+		(*obs)(tid, p.epoch.Add(time.Duration(start)), time.Duration(dur))
 	}
-	if sk := p.sink.Load(); sk != nil {
-		var qw time.Duration
-		if !p.released.IsZero() {
-			qw = start.Sub(p.released)
-		}
-		(*sk).RecordTask(tid, p.phase, start, dur, qw, false)
+	if sk := p.rsink; sk != nil {
+		(*sk).RecordTask(tid, p.phase, p.epoch.Add(time.Duration(start)),
+			time.Duration(dur), time.Duration(start-p.released), false)
 	}
+	return end
 }
 
 func (p *Pool) worker(tid int) {
 	defer p.wg.Done()
-	lastGen := int64(0)
+	slot := &p.slots[tid+1]
+	last, idle := int64(0), p.now()
 	for {
-		// Spin for a new region, then park.
-		g := p.gen.Load()
-		spun := 0
-		for g == lastGen {
-			if p.closed.Load() {
-				return
-			}
-			spun++
-			if spun < spinRounds {
-				runtime.Gosched()
-				g = p.gen.Load()
-				continue
-			}
-			p.mu.Lock()
-			// Register as sleeper before re-checking gen: the master
-			// checks sleepers after bumping gen, so one of the two sides
-			// is guaranteed to see the other (no lost wakeup).
-			p.sleepers.Add(1)
-			g = p.gen.Load()
-			if g == lastGen && !p.closed.Load() {
-				p.cond.Wait()
-				g = p.gen.Load()
-			}
-			p.sleepers.Add(-1)
-			p.mu.Unlock()
+		g, ok := p.awaitRelease(last, idle)
+		if !ok {
+			return
 		}
-		lastGen = g
-		p.runPart(tid)
+		last = g
+		idle = p.runPart(tid, p.now())
 		// Sense-reversing arrival: publish this region's generation into
-		// the thread's private flag; the master sweeps the flags.
-		p.done[tid].gen.Store(g)
+		// the thread's own slot; the master polls the slots.
+		slot.done.Store(g)
+	}
+}
+
+// awaitRelease waits until gen moves past last and returns the new
+// generation, or reports false once the pool is closed: poll, then yield,
+// and park once spinWindow has passed since the stamp idle.
+func (p *Pool) awaitRelease(last, idle int64) (int64, bool) {
+	for {
+		for i := 0; i < p.poll; i++ {
+			if g := p.gen.Load(); g != last {
+				return g, true
+			}
+		}
+		if p.closed.Load() {
+			return 0, false
+		}
+		if p.now()-idle < int64(spinWindow) {
+			runtime.Gosched()
+			continue
+		}
+		p.mu.Lock()
+		// Register as sleeper before re-checking gen: the master checks
+		// sleepers after bumping gen, so one of the two sides is
+		// guaranteed to see the other (no lost wakeup).
+		p.sleepers.Add(1)
+		g := p.gen.Load()
+		for g == last && !p.closed.Load() {
+			p.cond.Wait()
+			g = p.gen.Load()
+		}
+		p.sleepers.Add(-1)
+		p.mu.Unlock()
+		return g, g != last
 	}
 }
 
@@ -243,33 +294,37 @@ func (p *Pool) worker(tid int) {
 // runs the master's share, and joins at the padded sense-reversing
 // barrier (the implicit barrier at the end of an OpenMP region).
 func (p *Pool) dispatch() {
-	// Complete the descriptor before the gen bump publishes it: the phase
-	// tag, and — only while profiling — the release timestamp workers use
-	// to derive their dispatch latency (the fork-join queue wait).
-	p.phase = p.curPhase.Load()
-	if p.sink.Load() != nil {
-		p.released = time.Now()
-	} else if !p.released.IsZero() {
-		p.released = time.Time{}
+	start := p.now()
+	// Only a profiled region carries a phase tag and release stamp; the
+	// stamp is also the master's part start, so its queue wait is zero.
+	p.rsink = p.sink.Load()
+	if p.rsink != nil {
+		p.phase = p.curPhase.Load()
+		p.released = start
 	}
-	start := time.Now()
-	if p.n > 1 {
+	end := start
+	if p.n == 1 {
+		end = p.runPart(0, start)
+	} else {
 		g := p.gen.Add(1)
 		if p.sleepers.Load() > 0 {
 			p.mu.Lock()
 			p.cond.Broadcast()
 			p.mu.Unlock()
 		}
-		p.runPart(0)
+		p.runPart(0, start)
 		for tid := 1; tid < p.n; tid++ {
-			for p.done[tid].gen.Load() != g {
-				runtime.Gosched()
+			flag := &p.slots[tid+1].done
+			for i := 0; flag.Load() != g; i++ {
+				if i == p.poll {
+					runtime.Gosched()
+					i = 0
+				}
 			}
 		}
-	} else {
-		p.runPart(0)
+		end = p.now()
 	}
-	p.regionWall.Add(int64(time.Since(start)))
+	p.regionWall.Add(end - start)
 	p.regions.Add(1)
 }
 
@@ -364,8 +419,8 @@ func (c Counters) String() string {
 
 // ResetCounters zeroes the productive-time instrumentation.
 func (p *Pool) ResetCounters() {
-	for i := range p.busy {
-		p.busy[i].Store(0)
+	for i := range p.slots {
+		p.slots[i].busy.Store(0)
 	}
 	p.regionWall.Store(0)
 	p.regions.Store(0)
@@ -376,8 +431,8 @@ func (p *Pool) CountersSnapshot() Counters {
 	c := Counters{Threads: p.n, Regions: p.regions.Load()}
 	c.Wall = time.Duration(p.regionWall.Load())
 	c.PerThread = make([]time.Duration, p.n)
-	for i := range p.busy {
-		b := time.Duration(p.busy[i].Load())
+	for i := range c.PerThread {
+		b := time.Duration(p.slots[i+1].busy.Load())
 		c.PerThread[i] = b
 		c.Busy += b
 	}

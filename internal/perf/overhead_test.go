@@ -36,6 +36,11 @@ func spinWork(lo, hi int) float64 {
 
 var spinSink float64
 
+// perfGates reports whether the wall-clock budgets are enforced. They are
+// off in a plain `go test`, where a loaded machine makes them flip; the
+// perfgate make target and the CI perf lanes set LULESH_PERF_GATES=1.
+func perfGates() bool { return os.Getenv("LULESH_PERF_GATES") == "1" }
+
 func runRegions(s *amt.Scheduler, regions, n, grain int) time.Duration {
 	start := time.Now()
 	for r := 0; r < regions; r++ {
@@ -73,11 +78,16 @@ func TestForEachBlockOverheadBudget(t *testing.T) {
 	p := NewProfiler(s.Workers(), 0) // aggregate-only: the steady-state CI mode
 
 	const (
-		trials  = 11
 		regions = 12
 		n       = 2048
 		grain   = 16 // 128 tasks x ~4 µs per region
 	)
+	// Without the gate one trial per arm shows the mechanism: the
+	// instrumented arm records tasks.
+	trials := 1
+	if perfGates() {
+		trials = 11
+	}
 	runRegions(s, regions, n, grain) // warm the pool and the frame cache
 
 	var off, on []time.Duration
@@ -100,6 +110,10 @@ func TestForEachBlockOverheadBudget(t *testing.T) {
 		mOff, mOn, overhead, budget)
 	if snap := p.Snapshot(); snap.Tasks == 0 {
 		t.Fatal("instrumented arm recorded no tasks — gate measured nothing")
+	}
+	if !perfGates() {
+		t.Logf("budget not enforced; set LULESH_PERF_GATES=1 to gate it")
+		return
 	}
 	if overhead > budget {
 		t.Errorf("instrumented ForEachBlock overhead %.2f%% exceeds %.1f%% budget "+
